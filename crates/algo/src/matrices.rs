@@ -466,6 +466,13 @@ impl PairMatrices {
         self.coverage[a.index() * self.n + b.index()]
     }
 
+    /// Coverage row of `a`: `C(a → b)` for every element `b`, in id order.
+    #[inline]
+    pub fn coverage_row(&self, a: ElementId) -> &[f64] {
+        let start = a.index() * self.n;
+        &self.coverage[start..start + self.n]
+    }
+
     /// Whether any per-source exploration exhausted its budget (entries are
     /// then lower bounds).
     #[inline]

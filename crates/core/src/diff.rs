@@ -18,7 +18,7 @@ use crate::stats::SchemaStats;
 use crate::summary::SchemaSummary;
 use crate::SchemaGraph;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A structured difference between two summaries over the same graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -222,51 +222,138 @@ pub struct SchemaDelta {
 }
 
 impl SchemaDelta {
-    /// Diff two annotated schemas.
+    /// Diff two annotated schemas, fingerprinting both.
     pub fn compute(
         old_graph: &SchemaGraph,
         old_stats: &SchemaStats,
         new_graph: &SchemaGraph,
         new_stats: &SchemaStats,
     ) -> Self {
-        let paths_of = |g: &SchemaGraph| -> BTreeMap<String, ElementId> {
-            g.element_ids().map(|e| (g.label_path(e), e)).collect()
-        };
-        let old_paths = paths_of(old_graph);
-        let new_paths = paths_of(new_graph);
+        Self::compute_with_fingerprints(
+            (
+                old_graph,
+                old_stats,
+                SchemaFingerprint::of_annotated(old_graph, old_stats),
+            ),
+            (
+                new_graph,
+                new_stats,
+                SchemaFingerprint::of_annotated(new_graph, new_stats),
+            ),
+        )
+    }
+
+    /// Diff two annotated schemas whose fingerprints the caller already
+    /// holds, as `(graph, stats, fingerprint)` triples. Each fingerprint
+    /// must be [`SchemaFingerprint::of_annotated`] of its pair; the
+    /// serving layer passes the ones its catalog keys entries by, so a
+    /// refresh hashes each version once.
+    ///
+    /// When both versions share one graph — every cardinality rescale and
+    /// edge touch — elements are compared by id and label paths are built
+    /// only for the elements that changed. Otherwise elements are matched
+    /// across the graphs by path.
+    pub fn compute_with_fingerprints(
+        old: (&SchemaGraph, &SchemaStats, SchemaFingerprint),
+        new: (&SchemaGraph, &SchemaStats, SchemaFingerprint),
+    ) -> Self {
+        let (old_graph, old_stats, old_fingerprint) = old;
+        let (new_graph, new_stats, new_fingerprint) = new;
+        let fingerprints = (old_fingerprint, new_fingerprint);
+        if std::ptr::eq(old_graph, new_graph) || old_graph == new_graph {
+            Self::by_id(old_graph, old_stats, new_stats, fingerprints)
+        } else {
+            Self::by_path(old_graph, old_stats, new_graph, new_stats, fingerprints)
+        }
+    }
+
+    /// The diff of two annotations of one graph: no element, type or
+    /// value link can differ, so only statistics are compared, by id.
+    fn by_id(
+        graph: &SchemaGraph,
+        old_stats: &SchemaStats,
+        new_stats: &SchemaStats,
+        (old_fingerprint, new_fingerprint): (SchemaFingerprint, SchemaFingerprint),
+    ) -> Self {
+        let mut changed_cardinalities: Vec<String> = graph
+            .element_ids()
+            .filter(|&e| stats_differ_by_id(old_stats, new_stats, e))
+            .map(|e| element_key(graph, e))
+            .collect();
+        changed_cardinalities.sort_unstable();
+        // A pure rescale requires every exploration-relevant edge record
+        // to be bit-identical.
+        let pure_rescale = old_stats.len() == graph.len()
+            && new_stats.len() == graph.len()
+            && graph
+                .element_ids()
+                .all(|e| old_stats.exploration_bits_eq(new_stats, e));
+        SchemaDelta {
+            old_fingerprint,
+            new_fingerprint,
+            added_elements: Vec::new(),
+            removed_elements: Vec::new(),
+            retyped_elements: Vec::new(),
+            added_value_links: Vec::new(),
+            removed_value_links: Vec::new(),
+            changed_cardinalities,
+            class: if pure_rescale {
+                DeltaClass::Rescale
+            } else {
+                DeltaClass::EdgeTouch
+            },
+        }
+    }
+
+    /// The diff of two different graphs: elements are matched by their
+    /// [`element_key`].
+    fn by_path(
+        old_graph: &SchemaGraph,
+        old_stats: &SchemaStats,
+        new_graph: &SchemaGraph,
+        new_stats: &SchemaStats,
+        (old_fingerprint, new_fingerprint): (SchemaFingerprint, SchemaFingerprint),
+    ) -> Self {
+        let old_keys = element_keys(old_graph);
+        let new_keys = element_keys(new_graph);
+        let old_paths = key_index(&old_keys);
+        let new_paths = key_index(&new_keys);
 
         let added_elements: Vec<String> = new_paths
             .keys()
             .filter(|p| !old_paths.contains_key(*p))
-            .cloned()
+            .map(|p| p.to_string())
             .collect();
         let removed_elements: Vec<String> = old_paths
             .keys()
             .filter(|p| !new_paths.contains_key(*p))
-            .cloned()
+            .map(|p| p.to_string())
             .collect();
         let mut retyped_elements = Vec::new();
         let mut changed_cardinalities = Vec::new();
-        for (path, &oe) in &old_paths {
+        for (&path, &oe) in &old_paths {
             let Some(&ne) = new_paths.get(path) else {
                 continue;
             };
             if old_graph.ty(oe) != new_graph.ty(ne) {
-                retyped_elements.push(path.clone());
+                retyped_elements.push(path.to_string());
             }
-            if stats_differ(old_graph, old_stats, oe, new_graph, new_stats, ne) {
-                changed_cardinalities.push(path.clone());
+            if old_stats.card(oe) != new_stats.card(ne)
+                || keyed_adjacency(&old_keys, old_stats, oe)
+                    != keyed_adjacency(&new_keys, new_stats, ne)
+            {
+                changed_cardinalities.push(path.to_string());
             }
         }
         // BTreeMap iteration is already sorted; these inherit that order.
 
-        let links_of = |g: &SchemaGraph| -> BTreeSet<(String, String)> {
+        let links_of = |g: &SchemaGraph, keys: &[String]| -> BTreeSet<(String, String)> {
             g.value_links()
-                .map(|(f, t)| (g.label_path(f), g.label_path(t)))
+                .map(|(f, t)| (keys[f.index()].clone(), keys[t.index()].clone()))
                 .collect()
         };
-        let old_links = links_of(old_graph);
-        let new_links = links_of(new_graph);
+        let old_links = links_of(old_graph, &old_keys);
+        let new_links = links_of(new_graph, &new_keys);
         let added_value_links: Vec<(String, String)> =
             new_links.difference(&old_links).cloned().collect();
         let removed_value_links: Vec<(String, String)> =
@@ -280,27 +367,16 @@ impl SchemaDelta {
         } else if !added_elements.is_empty() || !added_value_links.is_empty() {
             DeltaClass::AdditiveStructural
         } else {
-            // Same element and link sets. A pure rescale additionally
-            // requires every exploration-relevant edge record to be
-            // bit-identical — compared by id, which is meaningful only
-            // when the graphs agree element-for-element (equal-but-
-            // permuted builds classify conservatively as EdgeTouch).
-            let pure_rescale = old_graph == new_graph
-                && old_stats.len() == old_graph.len()
-                && new_stats.len() == new_graph.len()
-                && old_graph
-                    .element_ids()
-                    .all(|e| old_stats.exploration_bits_eq(new_stats, e));
-            if pure_rescale {
-                DeltaClass::Rescale
-            } else {
-                DeltaClass::EdgeTouch
-            }
+            // Same element and link sets, but the graphs differ (for
+            // instance an equal-but-permuted build): ids do not line up,
+            // so edge records cannot be compared and the delta classifies
+            // conservatively as an edge touch.
+            DeltaClass::EdgeTouch
         };
 
         SchemaDelta {
-            old_fingerprint: SchemaFingerprint::of_annotated(old_graph, old_stats),
-            new_fingerprint: SchemaFingerprint::of_annotated(new_graph, new_stats),
+            old_fingerprint,
+            new_fingerprint,
             added_elements,
             removed_elements,
             retyped_elements,
@@ -350,25 +426,99 @@ impl SchemaDelta {
     }
 }
 
-fn stats_differ(
-    old_graph: &SchemaGraph,
-    old_stats: &SchemaStats,
-    oe: ElementId,
-    new_graph: &SchemaGraph,
-    new_stats: &SchemaStats,
-    ne: ElementId,
-) -> bool {
-    if old_stats.card(oe) != new_stats.card(ne) {
+/// Whether `e`'s cardinality or outgoing RC adjacency differs between two
+/// annotations of one graph.
+fn stats_differ_by_id(old: &SchemaStats, new: &SchemaStats, e: ElementId) -> bool {
+    if old.card(e) != new.card(e) {
         return true;
     }
-    // Compare outgoing RC adjacency by neighbor label path (ids are not
-    // comparable across graphs).
-    let adj = |g: &SchemaGraph, s: &SchemaStats, e: ElementId| -> BTreeMap<String, f64> {
-        s.rc_neighbors(e)
-            .map(|(nb, rc)| (g.label_path(nb), rc))
-            .collect()
-    };
-    adj(old_graph, old_stats, oe) != adj(new_graph, new_stats, ne)
+    if old.edge_neighbors(e) == new.edge_neighbors(e) {
+        return old.edge_rcs(e) != new.edge_rcs(e);
+    }
+    // Same neighbors in another order: compare as maps.
+    let adjacency = |s: &SchemaStats| -> BTreeMap<ElementId, f64> { s.rc_neighbors(e).collect() };
+    adjacency(old) != adjacency(new)
+}
+
+/// Element ids by [`element_key`], in key order.
+fn key_index(keys: &[String]) -> BTreeMap<&str, ElementId> {
+    keys.iter()
+        .enumerate()
+        .map(|(i, k)| (k.as_str(), ElementId(i as u32)))
+        .collect()
+}
+
+/// Outgoing RC adjacency of `e` keyed by neighbor key (ids are not
+/// comparable across graphs).
+fn keyed_adjacency<'k>(
+    keys: &'k [String],
+    stats: &SchemaStats,
+    e: ElementId,
+) -> BTreeMap<&'k str, f64> {
+    stats
+        .rc_neighbors(e)
+        .map(|(nb, rc)| (keys[nb.index()].as_str(), rc))
+        .collect()
+}
+
+/// Number of earlier siblings of `e` that carry `e`'s label.
+fn sibling_ordinal(graph: &SchemaGraph, e: ElementId) -> usize {
+    graph.parent(e).map_or(0, |p| {
+        let label = graph.label(e);
+        graph
+            .children(p)
+            .iter()
+            .take_while(|&&c| c != e)
+            .filter(|&&c| graph.label(c) == label)
+            .count()
+    })
+}
+
+/// Append one path segment: the label, plus an XPath-style position
+/// `[k]` (1-based) when earlier siblings carry the same label.
+fn push_segment(key: &mut String, label: &str, ordinal: usize) {
+    key.push_str(label);
+    if ordinal > 0 {
+        key.push_str(&format!("[{}]", ordinal + 1));
+    }
+}
+
+/// The name a [`SchemaDelta`] reports `e` under: its label path, where a
+/// segment whose label repeats among its siblings carries its position
+/// (`db/a/x`, then `db/a/x[2]` for a second `x` under `db/a`). On graphs
+/// whose sibling labels are unique this is exactly
+/// [`SchemaGraph::label_path`]. A label that itself ends in `[k]` would
+/// read like a position; XML and DTD names cannot contain `[`.
+fn element_key(graph: &SchemaGraph, e: ElementId) -> String {
+    let mut key = String::new();
+    for (i, node) in graph.path_from_root(e).into_iter().enumerate() {
+        if i > 0 {
+            key.push('/');
+        }
+        push_segment(&mut key, graph.label(node), sibling_ordinal(graph, node));
+    }
+    key
+}
+
+/// [`element_key`] of every element, indexed by id, built top-down in one
+/// pass.
+fn element_keys(graph: &SchemaGraph) -> Vec<String> {
+    let mut keys = vec![String::new(); graph.len()];
+    let root = graph.root();
+    push_segment(&mut keys[root.index()], graph.label(root), 0);
+    for parent in graph.preorder() {
+        let mut seen: HashMap<&str, usize> = HashMap::new();
+        for &child in graph.children(parent) {
+            let label = graph.label(child);
+            let ordinal = seen.entry(label).or_insert(0);
+            let mut key = keys[parent.index()].clone();
+            key.push('/');
+            push_segment(&mut key, label, *ordinal);
+            *ordinal += 1;
+            keys[child.index()] = key;
+        }
+    }
+    keys
 }
 
 #[cfg(test)]
@@ -596,5 +746,266 @@ mod tests {
         let json = serde_json::to_string(&d).unwrap();
         let back: SchemaDelta = serde_json::from_str(&json).unwrap();
         assert_eq!(d, back);
+    }
+
+    /// `db/a/{x, x}`: two siblings with one label, plus `db/c` when
+    /// `with_extra`.
+    fn twin_graph(with_extra: bool) -> SchemaGraph {
+        let mut b = SchemaGraphBuilder::new("db");
+        let a = b
+            .add_child(b.root(), "a", SchemaType::set_of_rcd())
+            .unwrap();
+        b.add_child(a, "x", SchemaType::simple_str()).unwrap();
+        b.add_child(a, "x", SchemaType::simple_str()).unwrap();
+        if with_extra {
+            b.add_child(b.root(), "c", SchemaType::simple_str())
+                .unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// Statistics for [`twin_graph`] with the two `x` cardinalities.
+    fn twin_stats(g: &SchemaGraph, cards: [u64; 2]) -> SchemaStats {
+        let mut card = vec![1u64; g.len()];
+        card[2] = cards[0];
+        card[3] = cards[1];
+        // Fixed link counts: a changed cardinality touches only its own
+        // element's statistics.
+        let links: Vec<_> = g
+            .structural_links()
+            .map(|(from, to)| crate::stats::LinkCount { from, to, count: 5 })
+            .collect();
+        SchemaStats::from_link_counts(g, &card, &links).unwrap()
+    }
+
+    #[test]
+    fn schema_delta_tells_same_label_siblings_apart() {
+        let g = twin_graph(false);
+        let grown = twin_graph(true);
+        let base = twin_stats(&g, [5, 5]);
+        for (cards, changed) in [([7, 5], "db/a/x"), ([5, 7], "db/a/x[2]")] {
+            // Same graph: the id-keyed diff.
+            let d = SchemaDelta::compute(&g, &base, &g, &twin_stats(&g, cards));
+            assert_eq!(
+                d.changed_cardinalities,
+                vec![changed.to_string()],
+                "{cards:?}"
+            );
+            // Different graphs: the path-keyed diff.
+            let d = SchemaDelta::compute(&g, &base, &grown, &twin_stats(&grown, cards));
+            assert_eq!(d.class, DeltaClass::AdditiveStructural);
+            assert_eq!(d.added_elements, vec!["db/c".to_string()]);
+            assert!(
+                d.changed_cardinalities.contains(&changed.to_string()),
+                "{cards:?}: {:?}",
+                d.changed_cardinalities
+            );
+            let other = if changed == "db/a/x" {
+                "db/a/x[2]"
+            } else {
+                "db/a/x"
+            };
+            assert!(!d.changed_cardinalities.contains(&other.to_string()));
+        }
+        // A second same-label sibling appearing is an added element.
+        let mut b = SchemaGraphBuilder::new("db");
+        let a = b
+            .add_child(b.root(), "a", SchemaType::set_of_rcd())
+            .unwrap();
+        b.add_child(a, "x", SchemaType::simple_str()).unwrap();
+        let single = b.build().unwrap();
+        let d = SchemaDelta::compute(
+            &single,
+            &SchemaStats::uniform(&single),
+            &g,
+            &SchemaStats::uniform(&g),
+        );
+        assert_eq!(d.added_elements, vec!["db/a/x[2]".to_string()]);
+    }
+
+    #[test]
+    fn element_keys_match_single_lookups() {
+        let g = twin_graph(true);
+        let keys = element_keys(&g);
+        for e in g.element_ids() {
+            assert_eq!(keys[e.index()], element_key(&g, e));
+        }
+        assert_eq!(keys, ["db", "db/a", "db/a/x", "db/a/x[2]", "db/c"]);
+    }
+
+    /// The path-keyed diff as it stood before the id-keyed path existed:
+    /// elements matched by label path, adjacency compared by neighbor
+    /// label path. On graphs whose sibling labels are unique, every delta
+    /// must equal it field by field.
+    fn path_keyed_oracle(
+        old_graph: &SchemaGraph,
+        old_stats: &SchemaStats,
+        new_graph: &SchemaGraph,
+        new_stats: &SchemaStats,
+    ) -> SchemaDelta {
+        let paths_of = |g: &SchemaGraph| -> BTreeMap<String, ElementId> {
+            g.element_ids().map(|e| (g.label_path(e), e)).collect()
+        };
+        let old_paths = paths_of(old_graph);
+        let new_paths = paths_of(new_graph);
+        let added_elements: Vec<String> = new_paths
+            .keys()
+            .filter(|p| !old_paths.contains_key(*p))
+            .cloned()
+            .collect();
+        let removed_elements: Vec<String> = old_paths
+            .keys()
+            .filter(|p| !new_paths.contains_key(*p))
+            .cloned()
+            .collect();
+        let adj = |g: &SchemaGraph, s: &SchemaStats, e: ElementId| -> BTreeMap<String, f64> {
+            s.rc_neighbors(e)
+                .map(|(nb, rc)| (g.label_path(nb), rc))
+                .collect()
+        };
+        let mut retyped_elements = Vec::new();
+        let mut changed_cardinalities = Vec::new();
+        for (path, &oe) in &old_paths {
+            let Some(&ne) = new_paths.get(path) else {
+                continue;
+            };
+            if old_graph.ty(oe) != new_graph.ty(ne) {
+                retyped_elements.push(path.clone());
+            }
+            if old_stats.card(oe) != new_stats.card(ne)
+                || adj(old_graph, old_stats, oe) != adj(new_graph, new_stats, ne)
+            {
+                changed_cardinalities.push(path.clone());
+            }
+        }
+        let links_of = |g: &SchemaGraph| -> BTreeSet<(String, String)> {
+            g.value_links()
+                .map(|(f, t)| (g.label_path(f), g.label_path(t)))
+                .collect()
+        };
+        let old_links = links_of(old_graph);
+        let new_links = links_of(new_graph);
+        let added_value_links: Vec<_> = new_links.difference(&old_links).cloned().collect();
+        let removed_value_links: Vec<_> = old_links.difference(&new_links).cloned().collect();
+        let class = if !removed_elements.is_empty()
+            || !retyped_elements.is_empty()
+            || !removed_value_links.is_empty()
+        {
+            DeltaClass::Destructive
+        } else if !added_elements.is_empty() || !added_value_links.is_empty() {
+            DeltaClass::AdditiveStructural
+        } else if old_graph == new_graph
+            && old_stats.len() == old_graph.len()
+            && new_stats.len() == new_graph.len()
+            && old_graph
+                .element_ids()
+                .all(|e| old_stats.exploration_bits_eq(new_stats, e))
+        {
+            DeltaClass::Rescale
+        } else {
+            DeltaClass::EdgeTouch
+        };
+        SchemaDelta {
+            old_fingerprint: SchemaFingerprint::of_annotated(old_graph, old_stats),
+            new_fingerprint: SchemaFingerprint::of_annotated(new_graph, new_stats),
+            added_elements,
+            removed_elements,
+            retyped_elements,
+            added_value_links,
+            removed_value_links,
+            changed_cardinalities,
+            class,
+        }
+    }
+
+    /// A random unique-label schema: the first `keep` of `parents` build
+    /// the old graph, all of them the new one (so the old graph is a
+    /// prefix of the new one, or equal to it); value links follow
+    /// `links`, resolved over each graph's own elements.
+    fn random_graph(parents: &[usize], links: &[(usize, usize)], keep: usize) -> SchemaGraph {
+        let mut b = SchemaGraphBuilder::new("root");
+        let mut ids = vec![b.root()];
+        for (i, &p) in parents.iter().take(keep).enumerate() {
+            let parent = ids[p % ids.len()];
+            ids.push(
+                b.add_child(parent, format!("e{i}"), SchemaType::set_of_rcd())
+                    .unwrap(),
+            );
+        }
+        for &(f, t) in links {
+            let (from, to) = (ids[f % ids.len()], ids[t % ids.len()]);
+            if from != to {
+                let _ = b.add_value_link(from, to);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// Statistics for `g` drawn from `cards` and `counts` by position.
+    fn random_stats(g: &SchemaGraph, cards: &[u64], counts: &[u64]) -> SchemaStats {
+        let card: Vec<u64> = (0..g.len()).map(|i| cards[i % cards.len()]).collect();
+        let links: Vec<_> = g
+            .structural_links()
+            .chain(g.value_links())
+            .enumerate()
+            .map(|(i, (from, to))| crate::stats::LinkCount {
+                from,
+                to,
+                count: counts[i % counts.len()],
+            })
+            .collect();
+        SchemaStats::from_link_counts(g, &card, &links).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// One graph, two annotations: the id-keyed diff equals the
+        /// path-keyed one field by field. The second annotation is a
+        /// rescale, a recount of some links, or both.
+        #[test]
+        fn id_keyed_diff_matches_path_keyed(
+            parents in proptest::collection::vec(0usize..64, 1..30),
+            links in proptest::collection::vec((0usize..64, 0usize..64), 0..8),
+            cards in proptest::collection::vec(1u64..100, 1..6),
+            counts in proptest::collection::vec(0u64..200, 1..6),
+            recounts in proptest::collection::vec(0u64..200, 1..6),
+            mode in 0usize..4,
+        ) {
+            let g = random_graph(&parents, &links, parents.len());
+            let s1 = random_stats(&g, &cards, &counts);
+            let s2 = match mode {
+                0 => s1.clone(),
+                1 => s1.scaled(3.0),
+                2 => random_stats(&g, &cards, &recounts),
+                _ => random_stats(&g, &recounts, &counts),
+            };
+            let expected = path_keyed_oracle(&g, &s1, &g, &s2);
+            // A separately built but equal graph takes the id path too.
+            let twin = random_graph(&parents, &links, parents.len());
+            for new_graph in [&g, &twin] {
+                let d = SchemaDelta::compute(&g, &s1, new_graph, &s2);
+                proptest::prop_assert_eq!(&d, &expected);
+            }
+        }
+
+        /// Different graphs (the new one grown from the old): the
+        /// path-keyed diff still equals the label-path oracle.
+        #[test]
+        fn path_keyed_diff_matches_oracle_on_growth(
+            parents in proptest::collection::vec(0usize..64, 2..30),
+            links in proptest::collection::vec((0usize..64, 0usize..64), 0..8),
+            cards in proptest::collection::vec(1u64..100, 1..6),
+            counts in proptest::collection::vec(0u64..200, 1..6),
+            cut in 1usize..30,
+        ) {
+            let old = random_graph(&parents, &links, cut.min(parents.len() - 1));
+            let new = random_graph(&parents, &links, parents.len());
+            let (s_old, s_new) = (random_stats(&old, &cards, &counts), random_stats(&new, &cards, &counts));
+            for (a, sa, b, sb) in [(&old, &s_old, &new, &s_new), (&new, &s_new, &old, &s_old)] {
+                let d = SchemaDelta::compute(a, sa, b, sb);
+                proptest::prop_assert_eq!(&d, &path_keyed_oracle(a, sa, b, sb));
+            }
+        }
     }
 }

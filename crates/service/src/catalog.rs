@@ -436,8 +436,23 @@ impl SchemaCatalog {
         stats: Arc<SchemaStats>,
     ) -> (SchemaFingerprint, Arc<CatalogEntry>) {
         let fingerprint = SchemaFingerprint::of_annotated(&graph, &stats);
+        (
+            fingerprint,
+            self.register_fingerprinted(fingerprint, graph, stats),
+        )
+    }
+
+    /// [`register`](Self::register) for a caller that already holds the
+    /// content's fingerprint; it must be
+    /// [`SchemaFingerprint::of_annotated`] of `(graph, stats)`.
+    pub(crate) fn register_fingerprinted(
+        &self,
+        fingerprint: SchemaFingerprint,
+        graph: Arc<SchemaGraph>,
+        stats: Arc<SchemaStats>,
+    ) -> Arc<CatalogEntry> {
         let mut entries = self.shard(fingerprint).write().expect("catalog poisoned");
-        let entry = entries
+        entries
             .entry(fingerprint)
             .or_insert_with(|| {
                 Arc::new(CatalogEntry {
@@ -449,8 +464,7 @@ impl SchemaCatalog {
                     memo: Mutex::new(HashMap::new()),
                 })
             })
-            .clone();
-        (fingerprint, entry)
+            .clone()
     }
 
     /// Look up a registered schema.

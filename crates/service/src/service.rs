@@ -444,7 +444,9 @@ impl SummaryService {
             for entry in entries {
                 match entry {
                     JournalEntry::Register { name, graph, stats } => {
-                        service.register_named_inner(name, Arc::new(*graph), Arc::new(*stats), false);
+                        let (graph, stats) = (Arc::new(*graph), Arc::new(*stats));
+                        let fp = SchemaFingerprint::of_annotated(&graph, &stats);
+                        service.register_named_inner(name, graph, stats, fp, false);
                         service.rehydrated.fetch_add(1, Ordering::Relaxed);
                     }
                     JournalEntry::Retire(fingerprint) => {
@@ -477,22 +479,28 @@ impl SummaryService {
         graph: Arc<SchemaGraph>,
         stats: Arc<SchemaStats>,
     ) -> SchemaFingerprint {
-        self.register_named_inner(name.into(), graph, stats, true)
+        let fp = SchemaFingerprint::of_annotated(&graph, &stats);
+        self.register_named_inner(name.into(), graph, stats, fp, true)
     }
 
-    /// Shared body of [`SummaryService::register_named`] and journal
-    /// replay: `journal: false` suppresses the append (replay must not
-    /// re-write what it reads), and a name that already maps to the same
-    /// content appends nothing (an embedder re-registering after a
-    /// restart would otherwise grow the journal by one record per boot).
+    /// Shared body of [`SummaryService::register_named`],
+    /// [`SummaryService::update_named`] and journal replay, for content
+    /// whose fingerprint the caller has computed: `journal: false`
+    /// suppresses the append (replay must not re-write what it reads),
+    /// and a name that already maps to the same content appends nothing
+    /// (an embedder re-registering after a restart would otherwise grow
+    /// the journal by one record per boot).
     fn register_named_inner(
         &self,
         name: String,
         graph: Arc<SchemaGraph>,
         stats: Arc<SchemaStats>,
+        fp: SchemaFingerprint,
         journal: bool,
     ) -> SchemaFingerprint {
-        let fp = self.register(Arc::clone(&graph), Arc::clone(&stats));
+        self.store
+            .catalog()
+            .register_fingerprinted(fp, Arc::clone(&graph), Arc::clone(&stats));
         let prior = self
             .names
             .write()
@@ -1035,19 +1043,20 @@ impl SummaryService {
             // already-applied update: identical content, nothing to diff.
             // Short-circuit without touching the store so no cached
             // result is purged and no delta counter moves.
-            return Ok(SchemaDelta::compute(
-                old.graph(),
-                old.stats(),
-                old.graph(),
-                old.stats(),
-            ));
+            let same = (old.graph().as_ref(), old.stats().as_ref(), old_fp);
+            return Ok(SchemaDelta::compute_with_fingerprints(same, same));
         }
         let new = self
             .store
             .catalog()
             .get(new_fp)
             .ok_or(ServiceError::UnknownFingerprint(new_fp))?;
-        let delta = SchemaDelta::compute(old.graph(), old.stats(), new.graph(), new.stats());
+        // Catalog entries are keyed by their content fingerprints, so
+        // neither version is hashed again.
+        let delta = SchemaDelta::compute_with_fingerprints(
+            (old.graph(), old.stats(), old_fp),
+            (new.graph(), new.stats(), new_fp),
+        );
         self.apply_delta(&delta);
         Ok(delta)
     }
@@ -1073,8 +1082,14 @@ impl SummaryService {
             .catalog()
             .get(old_fp)
             .ok_or(ServiceError::UnknownFingerprint(old_fp))?;
-        let delta = SchemaDelta::compute(old.graph(), old.stats(), &graph, &stats);
-        self.register_named(name, graph, stats);
+        // The old version's fingerprint is its catalog key; the new content
+        // is hashed once, for both the diff and the registration.
+        let new_fp = SchemaFingerprint::of_annotated(&graph, &stats);
+        let delta = SchemaDelta::compute_with_fingerprints(
+            (old.graph(), old.stats(), old_fp),
+            (&graph, &stats, new_fp),
+        );
+        self.register_named_inner(name.to_string(), graph, stats, new_fp, true);
         self.apply_delta(&delta);
         Ok(delta)
     }

@@ -203,7 +203,14 @@ pub(crate) struct ArtifactStore {
     delta_refreshes_rescale: AtomicU64,
     delta_refreshes_splice: AtomicU64,
     delta_refreshes_structural: AtomicU64,
+    /// Runs once, on the next miss, between the memory-tier check and the
+    /// in-flight lock: lets a test pin a leader finishing in that window.
+    #[cfg(test)]
+    miss_hook: MissHook,
 }
+
+#[cfg(test)]
+type MissHook = Mutex<Option<Box<dyn FnOnce(&ArtifactStore) + Send>>>;
 
 /// What [`ArtifactStore::refresh`] did with a schema delta.
 pub(crate) enum RefreshOutcome {
@@ -252,6 +259,8 @@ impl ArtifactStore {
             delta_refreshes_rescale: AtomicU64::new(0),
             delta_refreshes_splice: AtomicU64::new(0),
             delta_refreshes_structural: AtomicU64::new(0),
+            #[cfg(test)]
+            miss_hook: Mutex::new(None),
         }
     }
 
@@ -278,11 +287,26 @@ impl ArtifactStore {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((artifact, true));
             }
+            #[cfg(test)]
+            {
+                let hook = self.miss_hook.lock().expect("miss hook poisoned").take();
+                if let Some(hook) = hook {
+                    hook(self);
+                }
+            }
             let (flight, leader) = {
                 let mut in_flight = self.in_flight.lock().expect("in-flight map poisoned");
                 match in_flight.get(key) {
                     Some(flight) => (Arc::clone(flight), false),
                     None => {
+                        // A leader may have finished since the check above.
+                        // It inserts its result before it removes its
+                        // flight, so under this lock the result is visible.
+                        if let Some(artifact) = self.results.get(key) {
+                            drop(in_flight);
+                            self.hits.fetch_add(1, Ordering::Relaxed);
+                            return Ok((artifact, true));
+                        }
                         let flight = Arc::new(Flight::new());
                         in_flight.insert(key.clone(), Arc::clone(&flight));
                         (Arc::clone(&flight), true)
@@ -610,5 +634,57 @@ impl ArtifactStore {
 
     pub fn result_shard_lens(&self) -> Vec<usize> {
         self.results.shard_lens()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    fn key() -> ResultKey {
+        ResultKey {
+            fingerprint: SchemaFingerprint::of_bytes(b"single-flight"),
+            shape: ResultShape::Flat {
+                algorithm: Algorithm::Balance,
+                k: 2,
+            },
+            options: SummarizerConfig::default(),
+        }
+    }
+
+    /// A compute closure that counts its runs.
+    fn counting(runs: &Arc<AtomicUsize>) -> impl Fn() -> Result<CachedArtifact, ServiceError> {
+        let runs = Arc::clone(runs);
+        move || {
+            runs.fetch_add(1, Ordering::SeqCst);
+            Ok(CachedArtifact::Flat(Arc::new(SummaryResult {
+                fingerprint: key().fingerprint,
+                algorithm: Algorithm::Balance,
+                k: 2,
+                selection: Vec::new(),
+                labels: Vec::new(),
+                importance: 0.0,
+                coverage: 0.0,
+            })))
+        }
+    }
+
+    #[test]
+    fn leader_finishing_before_the_flight_lock_is_not_recomputed() {
+        let store = ArtifactStore::new(16, 1, 1, None);
+        let runs = Arc::new(AtomicUsize::new(0));
+        // After this request misses the memory tier, and before it takes
+        // the in-flight lock, a leader computes the key, publishes it and
+        // removes its flight.
+        let leader = counting(&runs);
+        *store.miss_hook.lock().unwrap() = Some(Box::new(move |store: &ArtifactStore| {
+            let (_, cached) = store.serve(&key(), &leader).unwrap();
+            assert!(!cached, "the leader computes");
+        }));
+        let (_, cached) = store.serve(&key(), &counting(&runs)).unwrap();
+        assert!(cached, "the late request must find the leader's result");
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "the key was computed twice");
+        assert_eq!((store.misses(), store.hits()), (1, 1));
     }
 }
