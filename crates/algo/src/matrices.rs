@@ -210,7 +210,7 @@ impl PairMatrices {
             }
             drop(tx);
             while let Ok((sources, results)) = rx.recv() {
-                for (src, res) in sources.iter().zip(&results) {
+                for (src, res) in sources.iter().zip(results) {
                     out.write_source_row(src.index(), res, stats);
                 }
             }
@@ -228,7 +228,7 @@ impl PairMatrices {
         let mut explorer = Explorer::new(n);
         for a in 0..n {
             let res = explorer.explore(ElementId(a as u32), stats, config);
-            out.write_source_row(a, &res, stats);
+            out.write_source_row(a, res, stats);
         }
         out
     }
@@ -247,7 +247,7 @@ impl PairMatrices {
         let order = locality_order(stats);
         for chunk in order.chunks(batch) {
             let results = explorer.explore_batch(chunk, stats, config);
-            for (src, res) in chunk.iter().zip(&results) {
+            for (src, res) in chunk.iter().zip(results) {
                 out.write_source_row(src.index(), res, stats);
             }
         }
@@ -268,7 +268,7 @@ impl PairMatrices {
 
     /// The shared per-source kernel: fold one exploration result into row
     /// `a` of both matrices and the run-wide flags.
-    fn write_source_row(&mut self, a: usize, res: &SourceResult, stats: &SchemaStats) {
+    fn write_source_row(&mut self, a: usize, mut res: SourceResult, stats: &SchemaStats) {
         let n = self.n;
         let row = a * n;
         self.affinity[row..row + n].copy_from_slice(&res.best_affinity);
@@ -284,7 +284,10 @@ impl PairMatrices {
             meta.truncated[a] = res.truncated;
             meta.floored[a] = res.floored;
             meta.expansions[a] = res.expansions;
-            meta.visited[a] = res.reads.clone();
+            // The read set lives as long as the matrices: drop any spare
+            // capacity the exploration grew it with.
+            res.reads.shrink_to_fit();
+            meta.visited[a] = res.reads;
             meta.cov_product[row..row + n].copy_from_slice(&res.best_cov_product);
         }
     }
@@ -386,7 +389,7 @@ impl PairMatrices {
         let mut explorer = Explorer::new(n);
         for chunk in redo_rows.chunks(DEFAULT_SOURCE_BATCH) {
             let results = explorer.explore_batch(chunk, stats, config);
-            for (src, res) in chunk.iter().zip(&results) {
+            for (src, res) in chunk.iter().zip(results) {
                 out.write_source_row(src.index(), res, stats);
             }
         }

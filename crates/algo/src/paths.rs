@@ -1,28 +1,31 @@
-//! Simple-path enumeration underlying affinity and coverage.
+//! Path maxima underlying affinity and coverage.
 //!
 //! Formulas 2 and 3 maximize per-path products over "all possible paths"
-//! between two elements. We enumerate **simple paths** (no repeated
+//! between two elements. We read that as **simple paths** (no repeated
 //! elements): walks that revisit elements could pump the products without
 //! bound whenever an edge has `RC < 1` (optional children), so simple paths
-//! are the only sound reading (see DESIGN.md §3.2). Schema graphs are trees
-//! plus a handful of value links, so bounded-depth enumeration is cheap —
-//! but "cheap" stops scaling once value links multiply the path count, so
-//! the kernel here is built for the cold-path budget of the serving layer:
+//! are the only sound reading (see DESIGN.md §3.2). Every per-edge factor
+//! is clamped to `[0, 1]`, which makes two kernels exact (DESIGN.md §3.14):
 //!
-//! * the exploration walks the CSR edge records of
-//!   [`SchemaStats::edges`](schema_summary_core::SchemaStats::edges), whose
-//!   precomputed `rc_factor`/`w_back` remove every per-expansion adjacency
-//!   scan;
-//! * the depth-first search is an explicit-stack iteration over a reusable
-//!   [`Explorer`] scratch, so per-source work allocates nothing beyond the
-//!   result rows;
-//! * **branch-and-bound pruning** (see DESIGN.md §3.14): every per-edge
-//!   factor is clamped to `[0, 1]`, so both path products are monotone
-//!   non-increasing in path length. A branch whose best continuation can no
-//!   longer strictly beat *any* recorded per-target maximum is cut, and the
-//!   cut is exact — the surviving paths include every argmax path.
+//! * the **layered kernel** ([`PathKernel::Layered`], the production
+//!   path): a Bellman–Ford relaxation over the `(max, ×)` semiring, one
+//!   layer per path length. With clamped factors the best walk to every
+//!   target is a simple path, so relaxing walks is exact; a walk whose
+//!   products are no better than ones a shorter walk already brought to
+//!   the same element is dropped (dominated-walk pruning), which stops
+//!   the walks that bounce along tree edges without changing any bit.
+//!   [`Explorer::explore_batch`] advances up to [`MAX_BATCH_LANES`]
+//!   sources per sweep over the CSR edge lanes of
+//!   [`SchemaStats`](schema_summary_core::SchemaStats), and
+//!   [`PairMatrices`](crate::PairMatrices) drives it;
+//! * the **DFS kernel** ([`PathKernel::Dfs`]): an explicit-stack
+//!   enumeration of simple paths with exact branch-and-bound pruning — the
+//!   literal reading of the formulas, kept as the oracle the layered
+//!   kernel is tested against, for tiny sparse schemas under
+//!   [`PathKernel::Auto`], and for the joint
+//!   [`min_product`](PathConfig::min_product) floor.
 //!
-//! One depth-first exploration per source element simultaneously maintains:
+//! One exploration per source element simultaneously maintains:
 //!
 //! * the **affinity product** `Π 1/RC(e_{j-1} → e_j)` (Formula 2), and
 //! * the **coverage product**
@@ -70,9 +73,10 @@ pub enum PathKernel {
     #[default]
     Auto,
     /// Layered max-product relaxation (Bellman–Ford over the `(max, ×)`
-    /// semiring): `O(max_edges · |edges|)` per source, independent of the
-    /// number of simple paths — orders of magnitude faster on densely
-    /// value-linked schemas.
+    /// semiring) with dominated-walk pruning: at most
+    /// `O(max_edges · |edges|)` per source, independent of the number of
+    /// simple paths — orders of magnitude faster on densely value-linked
+    /// schemas.
     Layered,
     /// Explicit-stack depth-first enumeration of simple paths with exact
     /// branch-and-bound pruning. The reference kernel; also the only one
@@ -275,8 +279,12 @@ pub struct SourceResult {
     /// Whether the [`PathConfig::min_product`] floor cut any branch
     /// (approximate mode; maxima become lower bounds).
     pub floored: bool,
-    /// Edge traversals actually performed for this source. With pruning on,
-    /// the gap to the unpruned count measures pruning effectiveness.
+    /// Edge relaxations actually performed for this source. The layered
+    /// kernel counts one per traversable edge of every frontier element
+    /// whose walk survived the dominated-walk prune — on a tree shallower
+    /// than `max_edges`, one per reachable traversable directed edge. The
+    /// DFS kernel counts one per edge traversed along a simple path, so the
+    /// two kernels' counts differ while their maxima agree bit for bit.
     pub expansions: u64,
     /// Sorted ids of every element this exploration *read*: elements whose
     /// edge records the kernel scanned (or may scan next layer), plus every
@@ -310,6 +318,10 @@ struct BatchScratch {
     /// extraction).
     best_aff: Vec<f64>,
     best_cov: Vec<f64>,
+    /// Best *raw* affinity product (before the length division) reached
+    /// per node and lane: with `best_cov`, the dominance bound of the
+    /// walk prune.
+    reach_aff: Vec<f64>,
     /// Bit `l` set ⇔ the node is in lane `l`'s current/next frontier.
     cur_mask: Vec<u64>,
     next_mask: Vec<u64>,
@@ -319,34 +331,35 @@ struct BatchScratch {
     frontier: Vec<u32>,
     next_frontier: Vec<u32>,
     /// Every node with a nonzero `read_mask` — the cleanup list that
-    /// restores the all-zero arena invariant after a batch.
+    /// restores the all-zero arena invariant after a batch, and (sorted)
+    /// the extraction order of every lane's row and read set.
     touched: Vec<u32>,
-    /// Per-lane read lists (unsorted; closed out by `finish_reads`).
-    reads: Vec<Vec<u32>>,
 }
 
 impl BatchScratch {
-    /// Grow the arenas to cover `nodes × stride` cells and `lanes` lanes.
-    /// Growth appends zeros, and the all-zero invariant keeps existing
-    /// cells zero, so re-sizing between batches of different shapes is
-    /// sound without a wipe.
-    fn ensure(&mut self, nodes: usize, stride: usize, lanes: usize) {
+    /// Grow the arenas to cover `nodes × stride` cells. Growth appends
+    /// zeros, and the all-zero invariant keeps existing cells zero, so
+    /// re-sizing between batches of different shapes is sound without a
+    /// wipe.
+    fn ensure(&mut self, nodes: usize, stride: usize) {
         let cells = nodes * stride;
         if self.cur_aff.len() < cells {
-            self.cur_aff.resize(cells, 0.0);
-            self.cur_cov.resize(cells, 0.0);
-            self.next_aff.resize(cells, 0.0);
-            self.next_cov.resize(cells, 0.0);
-            self.best_aff.resize(cells, 0.0);
-            self.best_cov.resize(cells, 0.0);
+            for arena in [
+                &mut self.cur_aff,
+                &mut self.cur_cov,
+                &mut self.next_aff,
+                &mut self.next_cov,
+                &mut self.best_aff,
+                &mut self.best_cov,
+                &mut self.reach_aff,
+            ] {
+                arena.resize(cells, 0.0);
+            }
         }
         if self.cur_mask.len() < nodes {
             self.cur_mask.resize(nodes, 0);
             self.next_mask.resize(nodes, 0);
             self.read_mask.resize(nodes, 0);
-        }
-        if self.reads.len() < lanes {
-            self.reads.resize(lanes, Vec::new());
         }
     }
 }
@@ -390,6 +403,10 @@ pub struct Explorer {
     frontier: Vec<u32>,
     next_frontier: Vec<u32>,
     in_next: Vec<bool>,
+    /// Best raw affinity product reached per node so far (the layered
+    /// kernel's dominance bound, beside the result's coverage row); zeroed
+    /// over the read set between sources.
+    reach_aff: Vec<f64>,
     /// Per-depth pre-multiplied affinity cut thresholds,
     /// `aff_cut[d] = prune_aff · denom(d + 1)`, so the hot prune filter is
     /// a compare instead of a division.
@@ -417,6 +434,7 @@ impl Explorer {
             frontier: Vec::with_capacity(n),
             next_frontier: Vec::with_capacity(n),
             in_next: vec![false; n],
+            reach_aff: vec![0.0; n],
             aff_cut: Vec::new(),
             read_flag: vec![false; n],
             batch: None,
@@ -637,9 +655,11 @@ impl Explorer {
     ///   exact multiply chains, so each lane's maxima carry the same bits;
     ///   blind relaxation of non-member lanes is a no-op because their
     ///   values are zero and every product is ≥ 0;
-    /// * membership travels in the `u64` masks, never derived from values
-    ///   (a lane's product can underflow to zero while its frontier
-    ///   membership — and its read set — must keep growing);
+    /// * membership travels in the `u64` masks: a lane's bit is set where
+    ///   the scalar kernel's walk arrives (its read set) and cleared where
+    ///   the scalar kernel's dominated-walk prune drops the node — the
+    ///   same compares on the same bits, against lane-major copies of the
+    ///   scalar bounds;
     /// * expansions: a lane's per-layer count is the sum of traversable
     ///   degrees over its frontier members — order-independent, summed
     ///   from the precomputed
@@ -685,7 +705,7 @@ impl Explorer {
         // loop runs whole vector widths.
         let stride = lanes.next_multiple_of(schema_summary_core::stats::LANE_PAD);
         let mut scratch = self.batch.take().unwrap_or_default();
-        scratch.ensure(n, stride, lanes);
+        scratch.ensure(n, stride);
 
         let mut remaining = [0u64; MAX_BATCH_LANES];
         let mut expansions = [0u64; MAX_BATCH_LANES];
@@ -705,9 +725,16 @@ impl Explorer {
             }
             scratch.cur_mask[i] |= 1 << l;
             scratch.read_mask[i] |= 1 << l;
-            scratch.reads[l].push(src.0);
-            scratch.cur_aff[i * stride + l] = 1.0;
-            scratch.cur_cov[i * stride + l] = 1.0;
+            // The source's own entries are pinned at 1 (clamped factors
+            // keep every walk product ≤ 1, so no fold ever improves them),
+            // and they seed the prune bounds exactly as in the scalar
+            // kernel.
+            let cell = i * stride + l;
+            scratch.cur_aff[cell] = 1.0;
+            scratch.cur_cov[cell] = 1.0;
+            scratch.best_aff[cell] = 1.0;
+            scratch.best_cov[cell] = 1.0;
+            scratch.reach_aff[cell] = 1.0;
         }
 
         let aff_scale = config.affinity_scale();
@@ -818,62 +845,79 @@ impl Explorer {
                     }
                 }
             }
-            // Fold the layer into the per-lane maxima and read sets.
+            // Fold the layer into the per-lane maxima and read sets, then
+            // prune exactly as the scalar kernel does: a lane survives at
+            // `v` only if one of its products strictly beats its bound
+            // there. Pruned lanes are zeroed and leave the mask; a node
+            // with no surviving lane leaves the frontier.
             let denom = config.length_denominator(edges_used);
-            for &v in &scratch.next_frontier {
+            let mut kept = 0;
+            for j in 0..scratch.next_frontier.len() {
+                let v = scratch.next_frontier[j];
                 let vi = v as usize;
                 let vm = scratch.next_mask[vi];
-                let mut new_bits = vm & !scratch.read_mask[vi];
                 if scratch.read_mask[vi] == 0 {
                     scratch.touched.push(v);
                 }
                 scratch.read_mask[vi] |= vm;
-                while new_bits != 0 {
-                    let l = new_bits.trailing_zeros() as usize;
-                    scratch.reads[l].push(v);
-                    new_bits &= new_bits - 1;
-                }
-                // Fold only member lanes (same dense/sparse split as the
-                // sweep): non-member lanes hold zeros, which the scalar
-                // fold skips via its `> 0` guards anyway.
                 let bv = vi * stride;
+                let next_aff = &mut scratch.next_aff[bv..][..stride];
+                let next_cov = &mut scratch.next_cov[bv..][..stride];
+                let best_aff = &mut scratch.best_aff[bv..][..stride];
+                let best_cov = &mut scratch.best_cov[bv..][..stride];
+                let reach_aff = &mut scratch.reach_aff[bv..][..stride];
+                let mut live = 0u64;
+                // Same dense/sparse split as the sweep: non-member lanes
+                // hold zeros, which never beat a bound (bounds are ≥ 0).
                 if (vm.count_ones() as usize) * 4 >= lanes {
-                    let next_aff = &scratch.next_aff[bv..][..stride];
-                    let next_cov = &scratch.next_cov[bv..][..stride];
-                    let best_aff = &mut scratch.best_aff[bv..][..stride];
-                    let best_cov = &mut scratch.best_cov[bv..][..stride];
                     for l in 0..stride {
                         let a = next_aff[l];
-                        if a > 0.0 {
-                            let val = a / denom;
-                            if val > best_aff[l] {
-                                best_aff[l] = val;
-                            }
-                        }
+                        let val = a / denom;
+                        best_aff[l] = if val > best_aff[l] { val } else { best_aff[l] };
+                        let live_aff = a > reach_aff[l];
+                        reach_aff[l] = if live_aff { a } else { reach_aff[l] };
                         let cv = next_cov[l];
-                        if cv > 0.0 && cv > best_cov[l] {
-                            best_cov[l] = cv;
-                        }
+                        let live_cov = cv > best_cov[l];
+                        best_cov[l] = if live_cov { cv } else { best_cov[l] };
+                        let keep = live_aff | live_cov;
+                        live |= u64::from(keep) << l;
+                        next_aff[l] = if keep { a } else { 0.0 };
+                        next_cov[l] = if keep { cv } else { 0.0 };
                     }
                 } else {
                     let mut bits = vm;
                     while bits != 0 {
                         let l = bits.trailing_zeros() as usize;
                         bits &= bits - 1;
-                        let a = scratch.next_aff[bv + l];
-                        if a > 0.0 {
-                            let val = a / denom;
-                            if val > scratch.best_aff[bv + l] {
-                                scratch.best_aff[bv + l] = val;
-                            }
+                        let a = next_aff[l];
+                        let val = a / denom;
+                        if val > best_aff[l] {
+                            best_aff[l] = val;
                         }
-                        let cv = scratch.next_cov[bv + l];
-                        if cv > 0.0 && cv > scratch.best_cov[bv + l] {
-                            scratch.best_cov[bv + l] = cv;
+                        let live_aff = a > reach_aff[l];
+                        if live_aff {
+                            reach_aff[l] = a;
+                        }
+                        let cv = next_cov[l];
+                        let live_cov = cv > best_cov[l];
+                        if live_cov {
+                            best_cov[l] = cv;
+                        }
+                        if live_aff || live_cov {
+                            live |= 1 << l;
+                        } else {
+                            next_aff[l] = 0.0;
+                            next_cov[l] = 0.0;
                         }
                     }
                 }
+                scratch.next_mask[vi] = live;
+                if live != 0 {
+                    scratch.next_frontier[kept] = v;
+                    kept += 1;
+                }
             }
+            scratch.next_frontier.truncate(kept);
             // Re-zero the consumed layer, then promote the next one.
             for &u in &scratch.frontier {
                 let ui = u as usize;
@@ -889,59 +933,64 @@ impl Explorer {
             scratch.next_frontier.clear();
         }
 
-        // Extract per-lane results (evicted lanes get a placeholder and a
-        // scalar re-run once the arenas are parked again).
+        // One-pass extraction: walking the touched nodes in ascending order
+        // fills every lane's rows and leaves every lane's read set sorted.
+        // Each target with a nonzero product was reached, so it is in its
+        // lane's read mask. Read sets are sized exactly up front, since the
+        // matrices store them for as long as they live. Evicted lanes get a
+        // placeholder and a scalar re-run once the arenas are parked again.
+        scratch.touched.sort_unstable();
+        let mut reads_len = [0usize; MAX_BATCH_LANES];
+        for &v in &scratch.touched {
+            let mut bits = scratch.read_mask[v as usize] & !needs_scalar;
+            while bits != 0 {
+                reads_len[bits.trailing_zeros() as usize] += 1;
+                bits &= bits - 1;
+            }
+        }
         let results_start = out.len();
-        for (l, &src) in sources.iter().enumerate() {
-            let mut result = SourceResult {
-                best_affinity: vec![0.0; n],
-                best_cov_product: vec![0.0; n],
-                truncated: false,
-                floored: false,
-                expansions: expansions[l],
-                reads: Vec::new(),
-            };
-            if needs_scalar & (1 << l) != 0 {
-                out.push(result);
-                continue;
+        out.extend((0..lanes).map(|l| SourceResult {
+            best_affinity: vec![0.0; n],
+            best_cov_product: vec![0.0; n],
+            truncated: false,
+            floored: false,
+            expansions: expansions[l],
+            reads: Vec::with_capacity(reads_len[l]),
+        }));
+        let results = &mut out[results_start..];
+        for &v in &scratch.touched {
+            let vi = v as usize;
+            let bv = vi * stride;
+            let mut bits = scratch.read_mask[vi] & !needs_scalar;
+            while bits != 0 {
+                let l = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let result = &mut results[l];
+                result.best_affinity[vi] = scratch.best_aff[bv + l];
+                result.best_cov_product[vi] = scratch.best_cov[bv + l];
+                result.reads.push(v);
             }
-            for &v in &scratch.touched {
-                let vi = v as usize;
-                result.best_affinity[vi] = scratch.best_aff[vi * stride + l];
-                result.best_cov_product[vi] = scratch.best_cov[vi * stride + l];
-            }
-            // The source's own entries are pinned at 1 (clamped factors
-            // keep every walk product ≤ 1, so the scalar fold never
-            // improves them either).
-            result.best_affinity[src.index()] = 1.0;
-            result.best_cov_product[src.index()] = 1.0;
-            result.reads = std::mem::take(&mut scratch.reads[l]);
-            for &u in &result.reads {
-                self.read_flag[u as usize] = true;
-            }
-            self.finish_reads(n, &mut result);
-            out.push(result);
         }
 
-        // Restore the all-zero arena invariant and park the scratch.
+        // Restore the all-zero arena invariant and park the scratch. Layer
+        // values and frontier masks survive only on the last frontier (every
+        // pruned lane was zeroed, every consumed layer re-zeroed); bounds
+        // and read masks cover the touched nodes.
+        for &u in &scratch.frontier {
+            let bu = u as usize * stride;
+            scratch.cur_aff[bu..bu + stride].fill(0.0);
+            scratch.cur_cov[bu..bu + stride].fill(0.0);
+            scratch.cur_mask[u as usize] = 0;
+        }
         for &v in &scratch.touched {
             let bv = v as usize * stride;
-            scratch.cur_aff[bv..bv + stride].fill(0.0);
-            scratch.cur_cov[bv..bv + stride].fill(0.0);
-            scratch.next_aff[bv..bv + stride].fill(0.0);
-            scratch.next_cov[bv..bv + stride].fill(0.0);
             scratch.best_aff[bv..bv + stride].fill(0.0);
             scratch.best_cov[bv..bv + stride].fill(0.0);
-            scratch.cur_mask[v as usize] = 0;
-            scratch.next_mask[v as usize] = 0;
+            scratch.reach_aff[bv..bv + stride].fill(0.0);
             scratch.read_mask[v as usize] = 0;
         }
         scratch.touched.clear();
         scratch.frontier.clear();
-        scratch.next_frontier.clear();
-        for lane_reads in &mut scratch.reads {
-            lane_reads.clear();
-        }
         self.batch = Some(scratch);
 
         if needs_scalar != 0 {
@@ -953,16 +1002,28 @@ impl Explorer {
         }
     }
 
-    /// The layered kernel: Bellman–Ford over the `(max, ×)` semiring.
+    /// The layered kernel: Bellman–Ford over the `(max, ×)` semiring,
+    /// restricted to walks that can still win.
     ///
-    /// `cur_*[v]` holds the maximum product over *walks* of exactly
-    /// `edges_used - 1` edges from the source to `v`; each layer relaxes
-    /// every traversable edge once. Because all per-edge factors are clamped
-    /// to `[0, 1]`, the walk maxima equal the simple-path maxima of
-    /// Formulas 2 and 3 (cycle removal never decreases a product nor
-    /// lengthens a path — DESIGN.md §3.14), so recording each layer's
-    /// values yields exactly the DFS kernel's results in
-    /// `O(max_edges · |edges|)` instead of enumerating paths.
+    /// `cur_*[v]` holds the maximum product over the *surviving* walks of
+    /// exactly `edges_used - 1` edges from the source to `v`; each layer
+    /// relaxes every traversable edge of the frontier once. Because all
+    /// per-edge factors are clamped to `[0, 1]`, the walk maxima equal the
+    /// simple-path maxima of Formulas 2 and 3 (cycle removal never
+    /// decreases a product nor lengthens a path — DESIGN.md §3.14), so
+    /// recording each layer's values yields exactly the DFS kernel's
+    /// results in `O(max_edges · |edges|)` instead of enumerating paths.
+    ///
+    /// **Dominated-walk pruning.** After a layer's fold, `v` stays in the
+    /// frontier only if its affinity product strictly beats the best raw
+    /// product any shorter walk brought to `v` (`reach_aff`), or its
+    /// coverage product strictly beats the best coverage product recorded
+    /// at `v`. A dominated walk's every continuation is matched, bit for
+    /// bit, by the same continuation of the earlier walk — same factors in
+    /// the same order under monotone rounding, fewer edges, a smaller
+    /// affinity denominator — so dropping it changes no maximum; it only
+    /// stops walks that bounce along tree edges. `v` enters the read set
+    /// *before* the prune, as the trace's compare reads its arrival.
     fn relax_layered(
         &mut self,
         source: ElementId,
@@ -983,13 +1044,16 @@ impl Explorer {
         Self::record_read(&mut self.read_flag, &mut result.reads, source.0);
         self.cur_aff[source.index()] = 1.0;
         self.cur_cov[source.index()] = 1.0;
+        // The source's own best coverage product is already pinned at 1
+        // in `result`; its raw affinity product is too.
+        self.reach_aff[source.index()] = 1.0;
+        let neighbors = stats.neighbor_lane();
+        let rcs = stats.rc_lane();
+        let rc_factors = stats.rc_factor_lane();
+        let w_backs = stats.w_back_lane();
         for edges_used in 1..=config.max_edges {
             self.next_frontier.clear();
             let mut exhausted = false;
-            let neighbors = stats.neighbor_lane();
-            let rcs = stats.rc_lane();
-            let rc_factors = stats.rc_factor_lane();
-            let w_backs = stats.w_back_lane();
             'relax: for &u in &self.frontier {
                 let a = self.cur_aff[u as usize];
                 let c = self.cur_cov[u as usize];
@@ -1025,24 +1089,39 @@ impl Explorer {
                 }
             }
             // Fold this layer (possibly partial, if the budget ran out) into
-            // the per-target maxima; partial layers are lower bounds, which
-            // is exactly what `truncated` signals.
+            // the per-target maxima — partial layers are lower bounds, which
+            // is exactly what `truncated` signals — and drop the nodes whose
+            // walks are dominated on both products. A zero product never
+            // beats a bound (bounds are ≥ 0), so `> bound` subsumes the
+            // `> 0` guards.
             let denom = config.length_denominator(edges_used);
-            for &v in &self.next_frontier {
-                let v = v as usize;
+            let mut kept = 0;
+            for j in 0..self.next_frontier.len() {
+                let v = self.next_frontier[j] as usize;
                 self.in_next[v] = false;
                 let a = self.next_aff[v];
-                if a > 0.0 {
-                    let val = a / denom;
-                    if val > result.best_affinity[v] {
-                        result.best_affinity[v] = val;
-                    }
+                let val = a / denom;
+                if val > result.best_affinity[v] {
+                    result.best_affinity[v] = val;
+                }
+                let live_aff = a > self.reach_aff[v];
+                if live_aff {
+                    self.reach_aff[v] = a;
                 }
                 let cv = self.next_cov[v];
-                if cv > 0.0 && cv > result.best_cov_product[v] {
+                let live_cov = cv > result.best_cov_product[v];
+                if live_cov {
                     result.best_cov_product[v] = cv;
                 }
+                if live_aff || live_cov {
+                    self.next_frontier[kept] = v as u32;
+                    kept += 1;
+                } else {
+                    self.next_aff[v] = 0.0;
+                    self.next_cov[v] = 0.0;
+                }
             }
+            self.next_frontier.truncate(kept);
             // Re-zero the consumed layer, then promote the next one.
             for &u in &self.frontier {
                 self.cur_aff[u as usize] = 0.0;
@@ -1059,12 +1138,16 @@ impl Explorer {
                 break;
             }
         }
-        // Restore the all-zero invariant for the next source.
+        // Restore the all-zero invariants for the next source: values live
+        // only on the frontier, bounds only on nodes the walks reached.
         for &u in &self.frontier {
             self.cur_aff[u as usize] = 0.0;
             self.cur_cov[u as usize] = 0.0;
         }
         self.frontier.clear();
+        for &u in &result.reads {
+            self.reach_aff[u as usize] = 0.0;
+        }
     }
 
     /// Nodes reachable from `source` within `max_edges` hops over
@@ -1529,6 +1612,13 @@ mod tests {
         assert_eq!(a.floored, b.floored, "{ctx}: floored");
         assert_eq!(a.expansions, b.expansions, "{ctx}: expansions");
         assert_eq!(a.reads, b.reads, "{ctx}: reads");
+        assert_rows_bits_eq(a, b, ctx);
+    }
+
+    /// Bitwise equality of the affinity and coverage-product rows — what
+    /// kernels that search differently (and so count expansions and read
+    /// sets differently) must still agree on.
+    fn assert_rows_bits_eq(a: &SourceResult, b: &SourceResult, ctx: &str) {
         for i in 0..a.best_affinity.len() {
             assert_eq!(
                 a.best_affinity[i].to_bits(),
@@ -1638,30 +1728,63 @@ mod tests {
     #[test]
     fn layered_kernel_matches_dfs_enumeration() {
         let (g, s) = braided();
-        let layered_cfg = PathConfig {
+        for path_length in [PathLength::Edges, PathLength::Nodes] {
+            let layered_cfg = PathConfig {
+                kernel: PathKernel::Layered,
+                path_length,
+                ..Default::default()
+            };
+            let dfs_cfg = PathConfig {
+                kernel: PathKernel::Dfs,
+                path_length,
+                ..Default::default()
+            };
+            for e in g.element_ids() {
+                let layered = explore_from(e, &s, &layered_cfg);
+                let dfs = explore_from(e, &s, &dfs_cfg);
+                assert!(!layered.truncated && !dfs.truncated);
+                assert_rows_bits_eq(&layered, &dfs, &format!("{path_length:?} src={e}"));
+            }
+        }
+    }
+
+    /// A tree shallower than `max_edges`: every element is first reached
+    /// on its one simple path, and a walk that bounces back along a tree
+    /// edge arrives with products no greater, so it is pruned. Each
+    /// element therefore relaxes its traversable edges exactly once — one
+    /// expansion per reachable traversable directed edge, `2·(n − 1)` per
+    /// source — in the scalar and the batched kernel alike.
+    #[test]
+    fn layered_expansions_count_each_directed_edge_once() {
+        let mut b = SchemaGraphBuilder::new("r");
+        let mut level = vec![b.root()];
+        for depth in 0..3 {
+            let mut next = Vec::new();
+            for &parent in &level {
+                for i in 0..2 {
+                    next.push(
+                        b.add_child(parent, format!("d{depth}c{i}"), SchemaType::set_of_rcd())
+                            .unwrap(),
+                    );
+                }
+            }
+            level = next;
+        }
+        let g = b.build().unwrap();
+        let s = SchemaStats::uniform(&g);
+        let cfg = PathConfig {
             kernel: PathKernel::Layered,
             ..Default::default()
         };
-        let dfs_cfg = PathConfig {
-            kernel: PathKernel::Dfs,
-            ..Default::default()
-        };
-        for e in g.element_ids() {
-            let layered = explore_from(e, &s, &layered_cfg);
-            let dfs = explore_from(e, &s, &dfs_cfg);
-            assert!(!layered.truncated && !dfs.truncated);
-            for i in 0..s.len() {
-                let (la, da) = (layered.best_affinity[i], dfs.best_affinity[i]);
-                assert!(
-                    (la - da).abs() <= 1e-12 * da.max(1.0),
-                    "aff {e}→{i}: {la} vs {da}"
-                );
-                let (lc, dc) = (layered.best_cov_product[i], dfs.best_cov_product[i]);
-                assert!(
-                    (lc - dc).abs() <= 1e-12 * dc.max(1.0),
-                    "cov {e}→{i}: {lc} vs {dc}"
-                );
-            }
+        let directed_edges = 2 * (g.len() as u64 - 1);
+        let sources: Vec<_> = g.element_ids().collect();
+        let batched = Explorer::new(s.len()).explore_batch(&sources, &s, &cfg);
+        for (&e, from_batch) in sources.iter().zip(&batched) {
+            let res = explore_from(e, &s, &cfg);
+            assert_eq!(res.expansions, directed_edges, "source {e}");
+            assert_eq!(from_batch.expansions, directed_edges, "batched source {e}");
+            // Every element is reached, so every element is read.
+            assert_eq!(res.reads.len(), g.len());
         }
     }
 
@@ -1746,18 +1869,7 @@ mod tests {
             for e in g.element_ids() {
                 let a = explore_from(e, &s, &auto_cfg);
                 let b = explore_from(e, &s, &explicit);
-                for i in 0..s.len() {
-                    assert!(
-                        (a.best_affinity[i] - b.best_affinity[i]).abs()
-                            <= 1e-12 * b.best_affinity[i].max(1.0),
-                        "aff {e}→{i} vs {kernel:?}"
-                    );
-                    assert!(
-                        (a.best_cov_product[i] - b.best_cov_product[i]).abs()
-                            <= 1e-12 * b.best_cov_product[i].max(1.0),
-                        "cov {e}→{i} vs {kernel:?}"
-                    );
-                }
+                assert_rows_bits_eq(&a, &b, &format!("{kernel:?} src={e}"));
             }
         }
     }

@@ -412,30 +412,33 @@ proptest! {
         prop_assert!(pruned.expansions() <= unpruned.expansions());
     }
 
-    /// The layered relaxation kernel agrees with exhaustive DFS enumeration
-    /// on randomized value-linked graphs — the empirical counterpart of the
-    /// walks-equal-paths argument (DESIGN.md §3.14).
+    /// The layered relaxation kernel agrees bit for bit with exhaustive DFS
+    /// enumeration on randomized value-linked graphs, under both path-length
+    /// conventions — the empirical counterpart of the walks-equal-paths and
+    /// dominated-walk arguments (DESIGN.md §3.14).
     #[test]
     fn layered_kernel_matches_dfs(
         secs in prop::collection::vec((1u64..40, 1usize..5), 3..6),
         picks in prop::collection::vec((0usize..64, 0usize..64), 1..8),
+        nodes in any::<bool>(),
     ) {
         let (g, s) = linked_schema(&secs, &picks);
+        let path_length = if nodes { PathLength::Nodes } else { PathLength::Edges };
         let layered = PairMatrices::compute_serial(
             &s,
-            &PathConfig { kernel: PathKernel::Layered, ..Default::default() },
+            &PathConfig { kernel: PathKernel::Layered, path_length, ..Default::default() },
         );
         let dfs = PairMatrices::compute_serial(
             &s,
-            &PathConfig { kernel: PathKernel::Dfs, ..Default::default() },
+            &PathConfig { kernel: PathKernel::Dfs, path_length, ..Default::default() },
         );
         prop_assume!(!dfs.truncated() && !layered.truncated());
         for x in g.element_ids() {
             for t in g.element_ids() {
                 let (la, da) = (layered.affinity(x, t), dfs.affinity(x, t));
-                prop_assert!((la - da).abs() <= 1e-12 * da.max(1.0), "aff {x}→{t}: {la} vs {da}");
+                prop_assert_eq!(la.to_bits(), da.to_bits(), "aff {}→{}: {} vs {}", x, t, la, da);
                 let (lc, dc) = (layered.coverage(x, t), dfs.coverage(x, t));
-                prop_assert!((lc - dc).abs() <= 1e-12 * dc.max(1.0), "cov {x}→{t}: {lc} vs {dc}");
+                prop_assert_eq!(lc.to_bits(), dc.to_bits(), "cov {}→{}: {} vs {}", x, t, lc, dc);
             }
         }
     }

@@ -14,7 +14,9 @@
 //!    single-flight so N concurrent misses on one key compute once
 //!    (`misses`), then spilled to disk and inserted into memory.
 //!
-//! Invalidation drops a fingerprint from all three tiers at once.
+//! Invalidation drops a fingerprint from all three tiers at once, and
+//! retires the fingerprint's in-flight computations so none of them puts
+//! it back.
 
 use crate::catalog::SchemaCatalog;
 use crate::disk::{DiskTier, KIND_FLAT, KIND_MULTILEVEL};
@@ -23,7 +25,7 @@ use crate::service::{MultiLevelArtifact, ServiceError, SummaryResult};
 use schema_summary_algo::{plan_delta, Algorithm, SummarizerConfig};
 use schema_summary_core::{DeltaClass, SchemaDelta, SchemaFingerprint};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -125,6 +127,11 @@ impl CachedArtifact {
 struct Flight {
     state: Mutex<FlightState>,
     cv: Condvar,
+    /// Set by [`ArtifactStore::invalidate`] when the key's fingerprint is
+    /// retired mid-flight; the leader then hands its answer to its waiters
+    /// but caches and spills nothing. Read and written only under the
+    /// store's `in_flight` lock.
+    retired: AtomicBool,
 }
 
 enum FlightState {
@@ -139,6 +146,7 @@ impl Flight {
         Flight {
             state: Mutex::new(FlightState::Pending),
             cv: Condvar::new(),
+            retired: AtomicBool::new(false),
         }
     }
 
@@ -328,7 +336,7 @@ impl ArtifactStore {
                     {
                         if let Some(artifact) = CachedArtifact::from_payload(key.kind(), &payload) {
                             self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                            self.insert(key, artifact.clone(), cost.max(1));
+                            self.publish(&publisher.flight, key, &artifact, cost.max(1), false);
                             publisher.result = Some(artifact.clone());
                             return Ok((artifact, true));
                         }
@@ -349,16 +357,7 @@ impl ArtifactStore {
                 // victims for the wrong reason: "free", not "cheap").
                 let cost = (started.elapsed().as_micros() as u64).max(1);
                 self.compute_micros.fetch_add(cost, Ordering::Relaxed);
-                if let Some(disk) = &self.disk {
-                    disk.store(
-                        key.fingerprint,
-                        key.kind(),
-                        &key.meta(),
-                        cost,
-                        &artifact.to_payload(),
-                    );
-                }
-                self.insert(key, artifact.clone(), cost);
+                self.publish(&publisher.flight, key, &artifact, cost, true);
                 publisher.result = Some(artifact.clone());
                 return Ok((artifact, false));
             }
@@ -372,6 +371,37 @@ impl ArtifactStore {
                 None => continue,
             }
         }
+    }
+
+    /// A leader's publication: spill (when `spill`) and insert into the
+    /// memory tier — unless [`invalidate`](Self::invalidate) retired the
+    /// key's fingerprint while the leader was computing. Both the check and
+    /// the writes run under the `in_flight` lock, which `invalidate` takes
+    /// to flag the flights before it purges the tiers: a publication
+    /// either lands before the flag, and the purge removes it, or sees the
+    /// flag and writes nothing.
+    fn publish(
+        &self,
+        flight: &Flight,
+        key: &ResultKey,
+        artifact: &CachedArtifact,
+        cost: u64,
+        spill: bool,
+    ) {
+        let _in_flight = self.in_flight.lock().expect("in-flight map poisoned");
+        if flight.retired.load(Ordering::Relaxed) {
+            return;
+        }
+        if let (true, Some(disk)) = (spill, &self.disk) {
+            disk.store(
+                key.fingerprint,
+                key.kind(),
+                &key.meta(),
+                cost,
+                &artifact.to_payload(),
+            );
+        }
+        self.insert(key, artifact.clone(), cost);
     }
 
     fn insert(&self, key: &ResultKey, artifact: CachedArtifact, cost: u64) {
@@ -537,7 +567,19 @@ impl ArtifactStore {
     /// Drop one fingerprint from every tier: catalog entry (with memoized
     /// artifacts), cached results, and spilled files. Returns the number
     /// of cached results dropped.
+    ///
+    /// Leaders still computing a key of this fingerprint are retired
+    /// first, so they cannot bring it back after the purge: their callers
+    /// and followers still get the answer, but nothing is cached or
+    /// spilled (see [`publish`](Self::publish)).
     pub fn invalidate(&self, fingerprint: SchemaFingerprint) -> usize {
+        let in_flight = self.in_flight.lock().expect("in-flight map poisoned");
+        for (key, flight) in in_flight.iter() {
+            if key.fingerprint == fingerprint {
+                flight.retired.store(true, Ordering::Relaxed);
+            }
+        }
+        drop(in_flight);
         self.catalog.remove(fingerprint);
         if let Some(disk) = &self.disk {
             disk.purge(fingerprint);
@@ -686,5 +728,62 @@ mod tests {
         assert!(cached, "the late request must find the leader's result");
         assert_eq!(runs.load(Ordering::SeqCst), 1, "the key was computed twice");
         assert_eq!((store.misses(), store.hits()), (1, 1));
+    }
+
+    /// A compute that retires its own fingerprint mid-flight: the caller
+    /// still gets its answer, but the retired fingerprint must not come
+    /// back into the memory tier.
+    #[test]
+    fn invalidation_during_compute_caches_nothing() {
+        let store = ArtifactStore::new(16, 1, 1, None);
+        let runs = Arc::new(AtomicUsize::new(0));
+        let compute = counting(&runs);
+        let retiring = || {
+            store.invalidate(key().fingerprint);
+            compute()
+        };
+        let (_, cached) = store.serve(&key(), &retiring).unwrap();
+        assert!(!cached, "the leader computes");
+        assert_eq!(store.entries(), 0, "a retired fingerprint came back");
+        // The next request recomputes, and without a retirement caches.
+        let (_, cached) = store.serve(&key(), &compute).unwrap();
+        assert!(!cached);
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
+        assert_eq!(store.entries(), 1);
+    }
+
+    /// The disk-tier variant: the retired leader spills nothing, so no file
+    /// of the purged fingerprint survives.
+    #[test]
+    fn invalidation_during_compute_spills_nothing() {
+        let dir = std::env::temp_dir().join(format!(
+            "schema-summary-store-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk = Arc::new(DiskTier::open(&dir).unwrap());
+        let store = ArtifactStore::new(16, 1, 1, Some(Arc::clone(&disk)));
+        let spilled = || {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .flatten()
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".art"))
+                .count()
+        };
+        let runs = Arc::new(AtomicUsize::new(0));
+        let compute = counting(&runs);
+        let retiring = || {
+            store.invalidate(key().fingerprint);
+            compute()
+        };
+        store.serve(&key(), &retiring).unwrap();
+        assert_eq!(store.entries(), 0);
+        assert_eq!(spilled(), 0, "a purged fingerprint's file survived");
+        assert_eq!((disk.writes(), disk.bytes_on_disk()), (0, 0));
+        // Without a retirement the same request does spill.
+        store.serve(&key(), &compute).unwrap();
+        assert_eq!(spilled(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
